@@ -118,7 +118,7 @@ impl Json {
 
     /// Parses a JSON document (one value plus optional trailing whitespace).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
@@ -147,9 +147,18 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level, so an unbounded depth lets a small hostile
+/// document (a few hundred kilobytes of `[`) overflow the thread's stack,
+/// which aborts the process rather than returning an error.  The reports
+/// this module reads nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -183,8 +192,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -192,6 +201,18 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: impl FnOnce(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -351,6 +372,25 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "nul", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_exhausting_the_stack() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(Json::parse(&r#"{"a":"#.repeat(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper than"));
+        // unbounded recursion overflowed a default 2 MiB thread stack here,
+        // an abort no caller could catch
+        let bomb = "[".repeat(400_000);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&bomb).map(|_| ()))
+            .expect("spawn")
+            .join()
+            .expect("parser thread survives");
+        assert!(outcome.unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

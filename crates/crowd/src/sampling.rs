@@ -40,32 +40,53 @@ use lncl_tensor::TensorRng;
 /// sampling and the weighted assignment policies in
 /// [`crate::scenario::router`].
 pub fn select_weighted_distinct(weights: &[f32], count: usize, rng: &mut TensorRng) -> Vec<usize> {
-    let count = count.min(weights.len());
-    let mut remaining = weights.to_vec();
+    let n = weights.len();
+    let count = count.min(n);
+    // one buffer: the remaining weights, then their running totals (entry
+    // `n + i` sums weights `0..=i` left to right, so the last one is the
+    // total mass, bit for bit what summing the weights afresh gives)
+    let mut buf = weights.to_vec();
+    buf.resize(2 * n, 0.0);
+    resum_from(&mut buf, 0);
     let mut chosen = Vec::with_capacity(count);
-    let uniform_over_open = |chosen: &[usize], rng: &mut TensorRng| {
-        let open: Vec<usize> = (0..weights.len()).filter(|i| !chosen.contains(i)).collect();
-        open[rng.usize_below(open.len())]
-    };
-    for _ in 0..count {
-        let total: f32 = remaining.iter().sum();
-        let idx = if total > 0.0 && total.is_finite() {
-            let idx = rng.categorical(&remaining);
-            // `categorical` can land on a zero-weight (already chosen) index
-            // only in the measure-zero `uniform() == 0` edge case; re-draw
-            // uniformly over the open indices so distinctness always holds.
-            if remaining[idx] > 0.0 {
-                idx
-            } else {
-                uniform_over_open(&chosen, rng)
-            }
-        } else {
-            uniform_over_open(&chosen, rng)
-        };
+    for pick in 0..count {
+        let idx = pick_one(&buf[..n], buf[2 * n - 1], &chosen, rng);
         chosen.push(idx);
-        remaining[idx] = 0.0;
+        if pick + 1 < count {
+            buf[idx] = 0.0;
+            resum_from(&mut buf, idx);
+        }
     }
     chosen
+}
+
+/// Recomputes the running totals of a [`select_weighted_distinct`] buffer
+/// from weight `from` on; the totals before it are unchanged.
+fn resum_from(buf: &mut [f32], from: usize) {
+    let n = buf.len() / 2;
+    let (weights, totals) = buf.split_at_mut(n);
+    // `-0.0` is the start of a fresh `Iterator::sum` of floats
+    let mut total = if from == 0 { -0.0 } else { totals[from - 1] };
+    for (running, &weight) in totals[from..].iter_mut().zip(&weights[from..]) {
+        total += weight;
+        *running = total;
+    }
+}
+
+/// One weighted pick among the indices not yet `chosen`, whose remaining
+/// `weights` (chosen ones zeroed) sum to `total`.
+fn pick_one(weights: &[f32], total: f32, chosen: &[usize], rng: &mut TensorRng) -> usize {
+    if total > 0.0 && total.is_finite() {
+        let idx = rng.categorical_with_total(weights, total);
+        // `categorical` can land on a zero-weight (already chosen) index
+        // only in the measure-zero `uniform() == 0` edge case; re-draw
+        // uniformly over the open indices so distinctness always holds.
+        if weights[idx] > 0.0 {
+            return idx;
+        }
+    }
+    let open = rng.usize_below(weights.len() - chosen.len());
+    (0..weights.len()).filter(|i| !chosen.contains(i)).nth(open).expect("fewer picks than candidates")
 }
 
 /// Draws **one** index biased by `weights` (uniform fallback when all
@@ -75,12 +96,75 @@ pub fn pick_weighted(weights: &[f32], rng: &mut TensorRng) -> Option<usize> {
     if weights.is_empty() {
         return None;
     }
-    Some(select_weighted_distinct(weights, 1, rng)[0])
+    Some(pick_one(weights, weights.iter().sum(), &[], rng))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two-pass implementation the one-pass sampler replaced: it summed
+    /// the remaining weights, let `categorical` sum them again, then
+    /// scanned.  Kept as the oracle for picks and generator state.
+    fn select_weighted_distinct_oracle(weights: &[f32], count: usize, rng: &mut TensorRng) -> Vec<usize> {
+        let count = count.min(weights.len());
+        let mut remaining = weights.to_vec();
+        let mut chosen = Vec::with_capacity(count);
+        let uniform_over_open = |chosen: &[usize], rng: &mut TensorRng| {
+            let open: Vec<usize> = (0..weights.len()).filter(|i| !chosen.contains(i)).collect();
+            open[rng.usize_below(open.len())]
+        };
+        for _ in 0..count {
+            let total: f32 = remaining.iter().sum();
+            let idx = if total > 0.0 && total.is_finite() {
+                let idx = rng.categorical(&remaining);
+                if remaining[idx] > 0.0 {
+                    idx
+                } else {
+                    uniform_over_open(&chosen, rng)
+                }
+            } else {
+                uniform_over_open(&chosen, rng)
+            };
+            chosen.push(idx);
+            remaining[idx] = 0.0;
+        }
+        chosen
+    }
+
+    #[test]
+    fn one_pass_sampler_matches_the_two_pass_oracle() {
+        let mut gen = TensorRng::seed_from_u64(45);
+        for call in 0..200_000u64 {
+            let n = gen.usize_below(24);
+            let weights: Vec<f32> = (0..n)
+                .map(|_| match gen.usize_below(8) {
+                    0 | 1 => 0.0,
+                    2 => 1e-30,
+                    3 => 1e30,
+                    4 if call % 64 == 0 => f32::NAN,
+                    // two of these overflow the total to infinity
+                    5 if call % 64 == 1 => f32::MAX,
+                    _ => gen.uniform() * 10.0,
+                })
+                .collect();
+            let count = gen.usize_below(n + 3);
+            let mut fast = TensorRng::seed_from_u64(call);
+            let mut oracle = fast.clone();
+            assert_eq!(
+                select_weighted_distinct(&weights, count, &mut fast),
+                select_weighted_distinct_oracle(&weights, count, &mut oracle),
+                "weights {weights:?}, count {count}"
+            );
+            if n > 0 {
+                assert_eq!(
+                    pick_weighted(&weights, &mut fast),
+                    select_weighted_distinct_oracle(&weights, 1, &mut oracle).first().copied()
+                );
+            }
+            assert_eq!(fast.next_u64(), oracle.next_u64(), "generator states diverged on {weights:?}, count {count}");
+        }
+    }
 
     #[test]
     fn select_with_zero_propensity_tail_stays_distinct() {

@@ -1,9 +1,8 @@
 //! Dawid–Skene EM aggregation (Dawid & Skene, 1979).
 
-use super::{class_prior, estimate_confusions, TruthEstimate, TruthInference};
+use super::em::dawid_skene_em;
+use super::{TruthEstimate, TruthInference};
 use crate::data::AnnotationView;
-use crate::truth::MajorityVote;
-use lncl_tensor::stats;
 
 /// The classic Dawid–Skene model: a latent true class per unit, a class
 /// prior, and one confusion matrix per annotator, fitted with EM.
@@ -29,36 +28,7 @@ impl TruthInference for DawidSkene {
     }
 
     fn infer(&self, view: &AnnotationView) -> TruthEstimate {
-        let k = view.num_classes;
-        // initialise with majority voting
-        let mut posteriors = MajorityVote.infer(view).posteriors;
-        let mut confusions = estimate_confusions(view, &posteriors, self.smoothing);
-        let mut prior = class_prior(&posteriors, k);
-
-        for _ in 0..self.max_iters {
-            // E-step: p(t=m | labels) ∝ prior_m * Π_j pi^{(j)}_{m, y_j}
-            let mut max_delta = 0.0f32;
-            for (u, annotations) in view.annotations.iter().enumerate() {
-                let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
-                for &(annotator, class) in annotations {
-                    for (m, lp) in log_post.iter_mut().enumerate() {
-                        *lp += confusions[annotator][(m, class)].max(1e-12).ln();
-                    }
-                }
-                let new_post = stats::softmax(&log_post);
-                let delta: f32 =
-                    new_post.iter().zip(&posteriors[u]).map(|(a, b)| (a - b).abs()).sum::<f32>() / k as f32;
-                max_delta = max_delta.max(delta);
-                posteriors[u] = new_post;
-            }
-            // M-step
-            confusions = estimate_confusions(view, &posteriors, self.smoothing);
-            prior = class_prior(&posteriors, k);
-            if max_delta < self.tol {
-                break;
-            }
-        }
-        TruthEstimate::from_posteriors(posteriors).with_confusions(confusions)
+        dawid_skene_em(view, None, self.smoothing, self.max_iters, self.tol).into_estimate()
     }
 }
 
@@ -67,7 +37,7 @@ mod tests {
     use super::*;
     use crate::metrics::overall_reliability;
     use crate::truth::testutil::planted_view;
-    use crate::truth::TruthInference;
+    use crate::truth::{MajorityVote, TruthInference};
 
     #[test]
     fn recovers_truth_better_than_mv_with_spammers() {

@@ -2,10 +2,11 @@
 //! so drifting annotators (fatigue, learning, step changes) are tracked
 //! instead of averaged away.
 
-use super::{class_prior, estimate_confusions, TruthEstimate, TruthInference};
+use super::em::{dawid_skene_em, StreamIndex};
+use super::streaming::StreamWindow;
+use super::{TruthEstimate, TruthInference};
 use crate::data::AnnotationView;
-use crate::truth::MajorityVote;
-use lncl_tensor::{stats, Matrix};
+use lncl_tensor::Matrix;
 
 /// Dawid–Skene with **windowed, exponentially-decayed sufficient
 /// statistics**: each annotator's label stream (their labels in unit order,
@@ -110,44 +111,6 @@ impl DsWindowed {
     }
 }
 
-/// Stream bookkeeping: for every unit and every annotation on it, the
-/// position of that label in the annotator's own stream, plus each
-/// annotator's window count.
-struct StreamIndex {
-    /// Parallel to `view.annotations`: per annotation, the label's position
-    /// in its annotator's stream.
-    positions: Vec<Vec<usize>>,
-    /// Windows per annotator (at least 1 each).
-    windows: Vec<usize>,
-    window_size: usize,
-}
-
-impl StreamIndex {
-    fn build(view: &AnnotationView, window_size: usize) -> Self {
-        let mut counters = vec![0usize; view.num_annotators];
-        let mut positions = Vec::with_capacity(view.num_units());
-        for annotations in &view.annotations {
-            let per_unit = annotations
-                .iter()
-                .map(|&(annotator, _)| {
-                    let p = counters[annotator];
-                    counters[annotator] += 1;
-                    p
-                })
-                .collect();
-            positions.push(per_unit);
-        }
-        let windows = counters.iter().map(|&len| len.div_ceil(window_size).max(1)).collect();
-        Self { positions, windows, window_size }
-    }
-
-    /// Window index of a stream position for an annotator.
-    #[inline]
-    fn window_of(&self, annotator: usize, position: usize) -> usize {
-        (position / self.window_size).min(self.windows[annotator] - 1)
-    }
-}
-
 /// Blends per-window count blocks (flat `block`-sized chunks, one chunk per
 /// window) with `decay^distance` weights in two linear passes (forward +
 /// backward geometric prefixes), so the smoothing is O(windows · block)
@@ -209,58 +172,6 @@ pub(crate) fn decay_blend(raw: &[Matrix], decay: f32) -> Vec<Matrix> {
         .collect()
 }
 
-/// Estimates per-annotator, per-window confusion matrices from soft
-/// posteriors: raw window counts, decay blending, smoothing, row
-/// normalisation.
-fn estimate_windowed_confusions(
-    view: &AnnotationView,
-    index: &StreamIndex,
-    posteriors: &[Vec<f32>],
-    smoothing: f32,
-    decay: f32,
-) -> Vec<Vec<Matrix>> {
-    let k = view.num_classes;
-    let mut raw: Vec<Vec<Matrix>> = index.windows.iter().map(|&w| vec![Matrix::zeros(k, k); w]).collect();
-    for (u, annotations) in view.annotations.iter().enumerate() {
-        for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-            let window = index.window_of(annotator, index.positions[u][slot]);
-            let counts = &mut raw[annotator][window];
-            for m in 0..k {
-                counts[(m, class)] += posteriors[u][m];
-            }
-        }
-    }
-    raw.into_iter()
-        .map(|windows| {
-            let mut blended = decay_blend(&windows, decay);
-            for c in &mut blended {
-                for v in c.as_mut_slice() {
-                    *v += smoothing;
-                }
-                crate::metrics::normalize_confusion_rows(c);
-            }
-            blended
-        })
-        .collect()
-}
-
-/// Blended per-annotator label-count support: entry `window * k + class`
-/// is the decay-blended number of labels of observed class `class` the
-/// annotator produced in `window`.  This is the evidence mass a windowed
-/// confusion column rests on — posterior-independent, so it is computed
-/// once per inference, not per EM iteration.
-fn windowed_support(view: &AnnotationView, index: &StreamIndex, decay: f32) -> Vec<Vec<f32>> {
-    let k = view.num_classes;
-    let mut raw: Vec<Vec<f32>> = index.windows.iter().map(|&w| vec![0.0; w * k]).collect();
-    for (u, annotations) in view.annotations.iter().enumerate() {
-        for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-            let window = index.window_of(annotator, index.positions[u][slot]);
-            raw[annotator][window * k + class] += 1.0;
-        }
-    }
-    raw.into_iter().map(|counts| decay_blend_flat(&counts, k, decay)).collect()
-}
-
 impl TruthInference for DsWindowed {
     fn name(&self) -> &'static str {
         "DS-W"
@@ -268,53 +179,10 @@ impl TruthInference for DsWindowed {
 
     fn infer(&self, view: &AnnotationView) -> TruthEstimate {
         self.validate();
-        let k = view.num_classes;
-        let index = StreamIndex::build(view, self.window);
-        let support = windowed_support(view, &index, self.decay);
-        let mut posteriors = MajorityVote.infer(view).posteriors;
-        let mut confusions = estimate_windowed_confusions(view, &index, &posteriors, self.smoothing, self.decay);
-        let mut pooled = estimate_confusions(view, &posteriors, self.smoothing);
-        let mut prior = class_prior(&posteriors, k);
-
-        for _ in 0..self.max_iters {
-            // E-step: each label is judged by its annotator's confusion in
-            // the window the label was produced in — unless that window's
-            // observed-class column is too weakly supported to be more than
-            // the label's own circular self-evidence, in which case the
-            // pooled (static) confusion judges it instead
-            let mut max_delta = 0.0f32;
-            for (u, annotations) in view.annotations.iter().enumerate() {
-                let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
-                for (slot, &(annotator, class)) in annotations.iter().enumerate() {
-                    let window = index.window_of(annotator, index.positions[u][slot]);
-                    let confusion = if support[annotator][window * k + class] < self.backoff_min_support {
-                        &pooled[annotator]
-                    } else {
-                        &confusions[annotator][window]
-                    };
-                    for (m, lp) in log_post.iter_mut().enumerate() {
-                        *lp += confusion[(m, class)].max(1e-12).ln();
-                    }
-                }
-                let new_post = stats::softmax(&log_post);
-                let delta: f32 =
-                    new_post.iter().zip(&posteriors[u]).map(|(a, b)| (a - b).abs()).sum::<f32>() / k as f32;
-                max_delta = max_delta.max(delta);
-                posteriors[u] = new_post;
-            }
-            // M-step: both confusion families track the evolving posteriors
-            // so the backoff always compares like-for-like estimates
-            confusions = estimate_windowed_confusions(view, &index, &posteriors, self.smoothing, self.decay);
-            pooled = estimate_confusions(view, &posteriors, self.smoothing);
-            prior = class_prior(&posteriors, k);
-            if max_delta < self.tol {
-                break;
-            }
-        }
-        // report the *pooled* per-annotator confusions for compatibility
-        // with consumers that expect one matrix per annotator
-        let pooled = estimate_confusions(view, &posteriors, self.smoothing);
-        TruthEstimate::from_posteriors(posteriors).with_confusions(pooled)
+        let window =
+            StreamWindow { size: self.window, decay: self.decay, backoff_min_support: self.backoff_min_support };
+        let index = StreamIndex::build(view, window);
+        dawid_skene_em(view, Some(&index), self.smoothing, self.max_iters, self.tol).into_estimate()
     }
 }
 

@@ -11,6 +11,7 @@ pub mod bsc_seq;
 pub mod catd;
 pub mod dawid_skene;
 pub mod ds_windowed;
+mod em;
 pub mod glad;
 pub mod hmm_crowd;
 pub mod ibcc;

@@ -18,10 +18,10 @@
 //!   its annotators is re-dirtied — the dirty-set propagation that lets a
 //!   newly unmasked spammer's past labels be re-judged without a global
 //!   sweep.
-//! * [`StreamingTruth::finalize`] runs the full batch EM (identical
-//!   operation order to [`DawidSkene`](super::DawidSkene) /
-//!   [`DsWindowed`]) over the accumulated labels and
-//!   resets the running statistics to the converged state.
+//! * [`StreamingTruth::finalize`] runs the full batch EM (the one EM core
+//!   behind [`DawidSkene`](super::DawidSkene) and [`DsWindowed`]) over the
+//!   accumulated labels and resets the running statistics to the converged
+//!   state.
 //!
 //! # The replay-equivalence contract
 //!
@@ -39,8 +39,9 @@
 //! reorder one annotator's stream legitimately change the estimate, exactly
 //! as they would change [`DsWindowed`]'s `StreamIndex`.
 
-use super::ds_windowed::{decay_blend, decay_blend_flat, DsWindowed};
-use super::{class_prior, TruthEstimate};
+use super::ds_windowed::{decay_blend, DsWindowed};
+use super::em::{dawid_skene_em, StreamIndex};
+use super::TruthEstimate;
 use crate::data::AnnotationView;
 use crate::metrics::{normalize_confusion_rows, overall_reliability};
 use lncl_tensor::{stats, Matrix};
@@ -387,161 +388,43 @@ impl StreamingTruth {
         TruthEstimate::from_posteriors(self.posteriors.clone()).with_confusions(confusions)
     }
 
-    /// Runs the full batch EM over the accumulated labels — identical
-    /// operation order to [`DawidSkene`](super::DawidSkene) (pooled) /
-    /// [`DsWindowed`] (windowed) — and resets the running statistics to the
-    /// converged state.  Returns the number of EM iterations run.
+    /// Runs the full batch EM over the accumulated labels — the same EM
+    /// core as [`DawidSkene`](super::DawidSkene) (pooled) / [`DsWindowed`]
+    /// (windowed) — and resets the running statistics to the converged
+    /// state.  Returns the number of EM iterations run.
     ///
-    /// Pooled mode first canonicalises each instance's label list by
-    /// `(annotator, class, arrival)`, so the converged state is independent
-    /// of the arrival interleaving; windowed mode keeps the recorded stream
-    /// positions (the arrival order is the windowed clock).
+    /// Each instance's label list is first canonicalised by
+    /// `(annotator, class, arrival)`, so the pooled converged state is
+    /// independent of the arrival interleaving; windowed mode keeps the
+    /// recorded stream positions (the arrival order is the windowed clock).
     pub fn finalize(&mut self) -> usize {
-        let k = self.config.num_classes;
         for labels in &mut self.labels {
             labels.sort_by_key(|l| (l.annotator, l.class, l.position));
         }
-        // majority-vote initialisation, exactly like the batch estimators
-        for (u, labels) in self.labels.iter().enumerate() {
-            let mut votes = vec![0.0f32; k];
-            for l in labels {
-                votes[l.class] += 1.0;
-            }
-            self.posteriors[u] = stats::normalized(&votes);
-        }
-        // windowed mode mirrors DsWindowed's weak-column backoff: labels in
-        // weakly-supported window columns are judged by the pooled confusion
-        let backoff = self.config.window.map(|w| w.backoff_min_support).unwrap_or(0.0);
-        let support = self.config.window.map(|_| self.windowed_support());
-        let mut confusions = self.m_step();
-        let mut pooled = self.config.window.map(|_| self.pooled_m_step());
-        let mut prior = class_prior(&self.posteriors, k);
-        let mut iterations = 0;
-        for _ in 0..self.config.max_iters {
-            iterations += 1;
-            let mut max_delta = 0.0f32;
-            for (u, labels) in self.labels.iter().enumerate() {
-                let mut log_post: Vec<f32> = (0..k).map(|m| prior[m].max(1e-12).ln()).collect();
-                for l in labels {
-                    let window = self.config.window_of(l.position);
-                    let confusion = match (&support, &pooled) {
-                        (Some(s), Some(p)) if s[l.annotator][window * k + l.class] < backoff => &p[l.annotator],
-                        _ => &confusions[l.annotator][window],
-                    };
-                    for (m, lp) in log_post.iter_mut().enumerate() {
-                        *lp += confusion[(m, l.class)].max(1e-12).ln();
-                    }
-                }
-                let new_post = stats::softmax(&log_post);
-                let delta: f32 =
-                    new_post.iter().zip(&self.posteriors[u]).map(|(a, b)| (a - b).abs()).sum::<f32>() / k as f32;
-                max_delta = max_delta.max(delta);
-                self.posteriors[u] = new_post;
-            }
-            confusions = self.m_step();
-            if let Some(p) = &mut pooled {
-                *p = self.pooled_m_step();
-            }
-            prior = class_prior(&self.posteriors, k);
-            if max_delta < self.config.tol {
-                break;
-            }
-        }
+        // one unit per instance; a live stream carries no gold
+        let units = self.labels.len();
+        let view = AnnotationView {
+            num_classes: self.config.num_classes,
+            num_annotators: self.num_annotators(),
+            annotations: self
+                .labels
+                .iter()
+                .map(|labels| labels.iter().map(|l| (l.annotator, l.class)).collect())
+                .collect(),
+            gold: Vec::new(),
+            unit_instance: (0..units).collect(),
+            unit_position: vec![0; units],
+            instance_len: vec![1; units],
+        };
+        let index = self.config.window.map(|window| {
+            let positions = self.labels.iter().map(|labels| labels.iter().map(|l| l.position).collect()).collect();
+            StreamIndex::from_positions(positions, &self.stream_len, window)
+        });
+        let config = &self.config;
+        let fit = dawid_skene_em(&view, index.as_ref(), config.smoothing, config.max_iters, config.tol);
+        self.posteriors = fit.posteriors;
         self.rebuild_running_state();
-        iterations
-    }
-
-    /// Blended per-annotator label-count support (`window * k + class`
-    /// layout) over the accumulated labels — the replay twin of
-    /// `ds_windowed::windowed_support`.  Posterior-independent, so it is
-    /// computed once per finalization pass.
-    fn windowed_support(&self) -> Vec<Vec<f32>> {
-        let k = self.config.num_classes;
-        let size = self.config.window.expect("support is a windowed-mode statistic").size;
-        let mut raw: Vec<Vec<f32>> =
-            self.stream_len.iter().map(|&len| vec![0.0; len.div_ceil(size).max(1) * k]).collect();
-        for labels in &self.labels {
-            for l in labels {
-                raw[l.annotator][self.config.window_of(l.position) * k + l.class] += 1.0;
-            }
-        }
-        raw.into_iter().map(|counts| decay_blend_flat(&counts, k, self.config.blend_decay())).collect()
-    }
-
-    /// Pooled per-annotator confusions over the accumulated labels —
-    /// reproduces `estimate_confusions` (smoothing first, mass in unit
-    /// order) for the windowed finalization backoff.
-    fn pooled_m_step(&self) -> Vec<Matrix> {
-        let k = self.config.num_classes;
-        let mut confusions = vec![Matrix::full(k, k, self.config.smoothing); self.num_annotators()];
-        for (u, labels) in self.labels.iter().enumerate() {
-            for l in labels {
-                for m in 0..k {
-                    confusions[l.annotator][(m, l.class)] += self.posteriors[u][m];
-                }
-            }
-        }
-        for c in &mut confusions {
-            normalize_confusion_rows(c);
-        }
-        confusions
-    }
-
-    /// The batch M-step over the accumulated labels: per annotator, per
-    /// window, smoothed row-normalised confusions.  Pooled mode reproduces
-    /// `estimate_confusions` bit for bit (smoothing first, mass added in
-    /// unit order); windowed mode reproduces `estimate_windowed_confusions`
-    /// (mass first, blend, then smoothing).
-    fn m_step(&self) -> Vec<Vec<Matrix>> {
-        let k = self.config.num_classes;
-        match self.config.window {
-            None => {
-                let mut confusions: Vec<Matrix> =
-                    vec![Matrix::full(k, k, self.config.smoothing); self.num_annotators()];
-                for (u, labels) in self.labels.iter().enumerate() {
-                    for l in labels {
-                        for m in 0..k {
-                            confusions[l.annotator][(m, l.class)] += self.posteriors[u][m];
-                        }
-                    }
-                }
-                confusions
-                    .into_iter()
-                    .map(|mut c| {
-                        normalize_confusion_rows(&mut c);
-                        vec![c]
-                    })
-                    .collect()
-            }
-            Some(window) => {
-                let mut raw: Vec<Vec<Matrix>> = (0..self.num_annotators())
-                    .map(|a| {
-                        let windows = self.stream_len[a].div_ceil(window.size).max(1);
-                        vec![Matrix::zeros(k, k); windows]
-                    })
-                    .collect();
-                for (u, labels) in self.labels.iter().enumerate() {
-                    for l in labels {
-                        let counts = &mut raw[l.annotator][self.config.window_of(l.position)];
-                        for m in 0..k {
-                            counts[(m, l.class)] += self.posteriors[u][m];
-                        }
-                    }
-                }
-                raw.into_iter()
-                    .map(|windows| {
-                        let mut blended = decay_blend(&windows, window.decay);
-                        for c in &mut blended {
-                            for v in c.as_mut_slice() {
-                                *v += self.config.smoothing;
-                            }
-                            normalize_confusion_rows(c);
-                        }
-                        blended
-                    })
-                    .collect()
-            }
-        }
+        fit.iterations
     }
 
     /// Recomputes the running raw counts and prior from the current

@@ -208,6 +208,13 @@ fn malformed_requests_answer_4xx_and_do_not_kill_the_server() {
             400,
         ),
         (
+            // 400k levels of nesting once overflowed the worker's stack and
+            // aborted the whole process
+            "nesting bomb",
+            format!("POST /labels HTTP/1.1\r\nContent-Length: 400000\r\n\r\n{}", "[".repeat(400_000)).into_bytes(),
+            400,
+        ),
+        (
             "out-of-range class",
             b"POST /labels HTTP/1.1\r\nContent-Length: 48\r\n\r\n{\"instance\": \"i\", \"annotator\": \"a\", \"class\": 7}\n".to_vec(),
             400,

@@ -10,7 +10,7 @@ use lncl_bench::{scenario_sweep_configs, Scale};
 use lncl_crowd::scenario::{wire, ScenarioConfig};
 use lncl_crowd::TaskKind;
 use lncl_serve::sweep::frame::{write_frame, FRAME_VERSION, MAX_PAYLOAD};
-use lncl_serve::sweep::proto::{recv_msg, send_msg, K_PULL};
+use lncl_serve::sweep::proto::{recv_msg, send_msg, K_PULL, K_RESULT};
 use lncl_serve::sweep::{Accounting, CoordConfig, Coordinator, Msg};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -160,6 +160,13 @@ fn malformed_frames_drop_the_connection_and_reclaim_the_lease() {
         ("malformed payload", {
             let mut f = Vec::new();
             write_frame(&mut f, K_PULL, b"not empty").unwrap();
+            f
+        }),
+        // 400k levels of nesting once overflowed the handler's stack and
+        // aborted the coordinator instead of dropping one connection
+        ("nesting bomb", {
+            let mut f = Vec::new();
+            write_frame(&mut f, K_RESULT, "[".repeat(400_000).as_bytes()).unwrap();
             f
         }),
     ];

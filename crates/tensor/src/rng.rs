@@ -66,12 +66,14 @@ impl TensorRng {
     /// Uniform integer in `[0, n)`.  Panics if `n == 0`.
     pub fn usize_below(&mut self, n: usize) -> usize {
         assert!(n > 0, "usize_below: n must be positive");
-        // Lemire-style rejection sampling to avoid modulo bias.
+        // Modulo with zone rejection against modulo bias: a draw at or above
+        // `zone = MAX - MAX % n` is redrawn.  `MAX % n < n`, so the zone is
+        // at least `MAX - n + 1` and any draw `v <= MAX - n` is accepted
+        // without computing it; only the rare draws above pay the division.
         let n64 = n as u64;
-        let zone = u64::MAX - (u64::MAX % n64);
         loop {
             let v = self.next_u64();
-            if v < zone {
+            if v <= u64::MAX - n64 || v < u64::MAX - u64::MAX % n64 {
                 return (v % n64) as usize;
             }
         }
@@ -98,8 +100,14 @@ impl TensorRng {
     /// Samples an index from an (unnormalised, non-negative) weight vector.
     /// Falls back to a uniform draw when the weights sum to zero.
     pub fn categorical(&mut self, weights: &[f32]) -> usize {
+        self.categorical_with_total(weights, weights.iter().sum())
+    }
+
+    /// [`TensorRng::categorical`] for a caller that already holds `total`,
+    /// the left-to-right sum of `weights`, so the weights are not summed a
+    /// second time.
+    pub fn categorical_with_total(&mut self, weights: &[f32], total: f32) -> usize {
         assert!(!weights.is_empty(), "categorical: empty weights");
-        let total: f32 = weights.iter().sum();
         if total <= 0.0 || !total.is_finite() {
             return self.usize_below(weights.len());
         }
@@ -206,6 +214,32 @@ mod tests {
         let mut b = TensorRng::seed_from_u64(2);
         let same = (0..16).filter(|_| a.uniform() == b.uniform()).count();
         assert!(same < 16);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn usize_below_matches_the_two_division_form() {
+        fn two_division(rng: &mut TensorRng, n: usize) -> usize {
+            let n64 = n as u64;
+            let zone = u64::MAX - (u64::MAX % n64);
+            loop {
+                let v = rng.next_u64();
+                if v < zone {
+                    return (v % n64) as usize;
+                }
+            }
+        }
+        // near 2^63 about half of all draws land above the zone, so the
+        // rejection path is exercised as often as the fast path
+        let half = 1usize << 63;
+        for n in [1, 2, 3, 7, 10, 203, 1000, half - 1, half, half + 1, half + 12345, usize::MAX - 1, usize::MAX] {
+            let mut fast = TensorRng::seed_from_u64(n as u64);
+            let mut reference = fast.clone();
+            for _ in 0..2000 {
+                assert_eq!(fast.usize_below(n), two_division(&mut reference, n), "n = {n}");
+            }
+            assert_eq!(fast.next_u64(), reference.next_u64(), "n = {n}: generator states diverged");
+        }
     }
 
     #[test]
